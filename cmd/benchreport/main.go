@@ -11,7 +11,7 @@
 //	BenchmarkPrepareWorkload        (repro/internal/core, fresh Prepare on generator-scaled instances)
 //	BenchmarkShapleyAllWorkload     (repro/internal/core, mode=all on generator-scaled instances)
 //	BenchmarkServerRepeatedQuery    (repro/internal/server, cold/warm serving paths)
-//	BenchmarkClusterSingleFact      (repro/internal/cluster, router-coalesced vs direct single-fact throughput)
+//	BenchmarkClusterSingleFact      (repro/internal/cluster, routed vs direct single-fact throughput)
 //
 // Usage:
 //

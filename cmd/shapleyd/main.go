@@ -26,8 +26,8 @@
 //	    -replication 2
 //
 // which shards database ids onto the workers by consistent hashing,
-// replicates every database onto -replication workers, coalesces
-// concurrent identical single-fact requests and PATCH bursts within
+// replicates every database onto -replication workers, forwards each
+// single-fact request to one owning worker, coalesces PATCH bursts within
 // -coalesce-window, scatters mode=all batches across replicas, and fails
 // over automatically when a worker dies (recovered workers are re-warmed
 // from a peer's plan snapshot). -shards points at a JSON shard config
@@ -119,7 +119,7 @@ func main() {
 		shardWorkers = flag.String("shard-workers", "", "router: inline worker fleet as name=url,name=url (alternative to -shards)")
 		replication  = flag.Int("replication", 0, "router: replicas per database id (0 = config value or default)")
 		virtualNodes = flag.Int("virtual-nodes", 0, "router: hash-ring points per worker (0 = config value or default)")
-		coalesce     = flag.Duration("coalesce-window", cluster.DefaultCoalesceWindow, "router: merge window for concurrent identical single-fact requests and PATCH bursts (negative = disabled)")
+		coalesce     = flag.Duration("coalesce-window", cluster.DefaultCoalesceWindow, "router: merge window for PATCH bursts to one database (negative = disabled)")
 		probeEvery   = flag.Duration("probe-interval", cluster.DefaultProbeInterval, "router: worker health-probe interval (negative = disabled)")
 		probeTimeout = flag.Duration("probe-timeout", cluster.DefaultProbeTimeout, "router: per-probe timeout")
 	)

@@ -52,9 +52,9 @@
 //     replicated consistent-hash ring of stock shapleyd workers, with
 //     PATCH fan-out in per-database total order, scatter-gathered and
 //     re-streamed mode=all (range splitting rides the per-fact
-//     independence of the batch engine), a bounded coalescing window
-//     merging concurrent single-fact requests into one sweep and PATCH
-//     bursts into one delta, health-probed automatic failover (including
+//     independence of the batch engine), single-fact reads forwarded to
+//     one owning worker, a bounded window merging PATCH bursts into one
+//     delta, health-probed automatic failover (including
 //     mid-stream re-request of the undelivered suffix), and snapshot
 //     warm-up that ships a live replica's plan memos to a rejoining
 //     worker — routed answers are bit-identical to a single process,

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/paperex"
@@ -25,10 +24,9 @@ func benchPost(b *testing.B, h http.Handler, path string, body []byte, want int)
 }
 
 // BenchmarkClusterSingleFact compares single-fact /shapley throughput served
-// directly by one worker against the same load routed through the coalescing
-// router. Under concurrency the router merges identical in-window requests
-// into one worker sweep, so its per-request cost amortizes the extra hop;
-// the direct path pays one toggle sweep per request.
+// directly by one worker against the same load routed through the router.
+// Both paths pay one toggle per request; the router adds one forwarded hop
+// over loopback HTTP.
 func BenchmarkClusterSingleFact(b *testing.B) {
 	regBody, err := json.Marshal(map[string]any{"id": "uni", "text": paperex.UniversityDBText})
 	if err != nil {
@@ -57,7 +55,7 @@ func BenchmarkClusterSingleFact(b *testing.B) {
 		hammer(b, srv)
 	})
 
-	b.Run("router-coalesced", func(b *testing.B) {
+	b.Run("router", func(b *testing.B) {
 		cfg := &cluster.Config{Replication: 2}
 		for i := 1; i <= 3; i++ {
 			hs := httptest.NewServer(server.New(server.Options{}))
@@ -65,9 +63,8 @@ func BenchmarkClusterSingleFact(b *testing.B) {
 			cfg.Workers = append(cfg.Workers, cluster.Worker{Name: fmt.Sprintf("w%d", i), URL: hs.URL})
 		}
 		rt, err := cluster.NewRouter(cluster.RouterOptions{
-			Config:         cfg,
-			CoalesceWindow: time.Millisecond,
-			ProbeInterval:  -1,
+			Config:        cfg,
+			ProbeInterval: -1,
 		})
 		if err != nil {
 			b.Fatal(err)

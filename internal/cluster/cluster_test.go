@@ -237,107 +237,76 @@ func TestRoutedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCoalescingWindowSingleSweep pins the tentpole economics: K
-// concurrent identical single-fact requests inside one window must cost
-// the worker exactly one value computation (one plan lookup, one toggle
-// sweep), with every caller receiving an identical, correct response.
-func TestCoalescingWindowSingleSweep(t *testing.T) {
-	tc := newCluster(t, 1, 1, 300*time.Millisecond, -1)
+// TestRoutedSingleFactForward: concurrent single-fact reads through the
+// router are each one plain forward. Every response — identical facts,
+// distinct facts, an ExoShap read, and an unknown fact's 4xx — matches
+// the same request sent straight to the worker byte for byte, and the
+// worker computes exactly one value per successful read: nothing merged,
+// nothing dropped.
+func TestRoutedSingleFactForward(t *testing.T) {
+	tc := newCluster(t, 1, 1, time.Millisecond, -1)
 	registerUni(t, tc.rt)
-
-	const K = 8
-	body := mustMarshal(t, map[string]any{"query": uniQ1, "fact": "TA(Adam)"})
-	bodies := make([][]byte, K)
-	var wg sync.WaitGroup
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rec := doRaw(t, tc.rt, "POST", "/v1/databases/uni/shapley", body, nil)
-			if rec.Code == http.StatusOK {
-				bodies[i] = rec.Body.Bytes()
-			}
-		}(i)
-	}
-	wg.Wait()
-
 	w1 := tc.workers["w1"]
-	if got := w1.srv.ValuesComputed(); got != 1 {
-		t.Fatalf("worker computed %d values for %d coalesced identical requests, want 1", got, K)
-	}
-	if got := tc.rt.CoalescedWindow(); got != K-1 {
-		t.Fatalf("CoalescedWindow = %d, want %d", got, K-1)
-	}
-	for i := 0; i < K; i++ {
-		if bodies[i] == nil {
-			t.Fatalf("request %d failed", i)
-		}
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("caller %d saw a different body:\n%s\nvs\n%s", i, bodies[i], bodies[0])
-		}
-	}
-	var resp struct {
-		Value struct {
-			Shapley string `json:"shapley"`
-		} `json:"value"`
-	}
-	if err := json.Unmarshal(bodies[0], &resp); err != nil {
-		t.Fatal(err)
-	}
-	if want := paperex.Example23Values["TA(Adam)"]; resp.Value.Shapley != want {
-		t.Fatalf("coalesced Shapley(TA(Adam)) = %s, want %s", resp.Value.Shapley, want)
-	}
-}
 
-// TestCoalescingWindowDistinctFacts: distinct facts in one window merge
-// into one batched sweep — still one plan preparation, one sweep of
-// exactly the requested facts — and each caller gets its own fact's value.
-func TestCoalescingWindowDistinctFacts(t *testing.T) {
-	tc := newCluster(t, 1, 1, 300*time.Millisecond, -1)
-	registerUni(t, tc.rt)
-
-	facts := []string{"TA(Adam)", "Reg(Adam,OS)", "TA(Ben)", "Reg(Ben,OS)"}
-	type result struct {
-		fact string
+	type read struct {
 		body []byte
+		ok   bool // a successful read computes one value
 	}
-	results := make([]result, len(facts))
+	single := func(fact string) read {
+		return read{body: mustMarshal(t, map[string]any{"query": uniQ1, "fact": fact}), ok: true}
+	}
+	var reads []read
+	for i := 0; i < 8; i++ {
+		reads = append(reads, single("TA(Adam)"))
+	}
+	for _, f := range []string{"TA(Ben)", "TA(David)", "Reg(Adam,OS)", "Reg(Ben,OS)", "Reg(Caroline,DB)"} {
+		reads = append(reads, single(f))
+	}
+	// Stud and Course are exogenous, so the negated Course atom takes the
+	// ExoShap path.
+	exo := read{body: mustMarshal(t, map[string]any{
+		"query": "q2() :- Stud(x), !TA(x), Reg(x, y), !Course(y, CS)",
+		"fact":  "Reg(Adam,OS)",
+		"exo":   []string{"Stud", "Course"},
+	}), ok: true}
+	reads = append(reads, exo, read{body: mustMarshal(t, map[string]any{"query": uniQ1, "fact": "NoSuch(zz)"})})
+
+	// Warm both plans first, so that routed and direct responses alike
+	// report a cache hit, then record the direct answer to every read.
+	doRaw(t, w1.srv, "POST", "/v1/databases/uni/shapley", reads[0].body, nil)
+	doRaw(t, w1.srv, "POST", "/v1/databases/uni/shapley", exo.body, nil)
+	want := make([]*httptest.ResponseRecorder, len(reads))
+	for i, rd := range reads {
+		want[i] = doRaw(t, w1.srv, "POST", "/v1/databases/uni/shapley", rd.body, nil)
+		if code := want[i].Code; rd.ok && code != http.StatusOK || !rd.ok && (code < 400 || code >= 500) {
+			t.Fatalf("direct read %s: status %d: %s", rd.body, code, want[i].Body.Bytes())
+		}
+	}
+
+	base := w1.srv.ValuesComputed()
+	got := make([]*httptest.ResponseRecorder, len(reads))
 	var wg sync.WaitGroup
-	for i, f := range facts {
+	for i, rd := range reads {
 		wg.Add(1)
-		go func(i int, f string) {
+		go func(i int, body []byte) {
 			defer wg.Done()
-			body := mustMarshal(t, map[string]any{"query": uniQ1, "fact": f})
-			rec := doRaw(t, tc.rt, "POST", "/v1/databases/uni/shapley", body, nil)
-			if rec.Code == http.StatusOK {
-				results[i] = result{fact: f, body: rec.Body.Bytes()}
-			}
-		}(i, f)
+			got[i] = doRaw(t, tc.rt, "POST", "/v1/databases/uni/shapley", body, nil)
+		}(i, rd.body)
 	}
 	wg.Wait()
 
-	for i, res := range results {
-		if res.body == nil {
-			t.Fatalf("request %d failed", i)
+	succeeded := int64(0)
+	for i, rd := range reads {
+		if got[i].Code != want[i].Code || !bytes.Equal(got[i].Body.Bytes(), want[i].Body.Bytes()) {
+			t.Fatalf("routed %s: status %d, body %s; direct: status %d, body %s",
+				rd.body, got[i].Code, got[i].Body.Bytes(), want[i].Code, want[i].Body.Bytes())
 		}
-		var resp struct {
-			Value struct {
-				Fact    string `json:"fact"`
-				Shapley string `json:"shapley"`
-			} `json:"value"`
-		}
-		if err := json.Unmarshal(res.body, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Value.Fact != res.fact {
-			t.Fatalf("caller for %s received value for %s", res.fact, resp.Value.Fact)
-		}
-		if want := paperex.Example23Values[res.fact]; resp.Value.Shapley != want {
-			t.Fatalf("Shapley(%s) = %s, want %s", res.fact, resp.Value.Shapley, want)
+		if rd.ok {
+			succeeded++
 		}
 	}
-	if got := tc.rt.CoalescedWindow(); got != int64(len(facts))-1 {
-		t.Fatalf("CoalescedWindow = %d, want %d", got, len(facts)-1)
+	if computed := w1.srv.ValuesComputed() - base; computed != succeeded {
+		t.Fatalf("worker computed %d values for %d successful routed reads, want one each", computed, succeeded)
 	}
 }
 
@@ -663,10 +632,12 @@ func TestRouterHealthReadyMetrics(t *testing.T) {
 	}
 	tc.rt.SetDraining(false)
 
+	// Single-fact reads are not merged, so neither /metrics carries a
+	// window series.
+	const window = `shapleyd_coalesced_requests_total{kind="window"}`
 	rec = doRaw(t, tc.rt, "GET", "/metrics", nil, nil)
 	for _, want := range []string{
 		`shapleyd_coalesced_requests_total{kind="singleflight"}`,
-		`shapleyd_coalesced_requests_total{kind="window"}`,
 		`shapleyd_coalesced_requests_total{kind="patch"}`,
 		`shapleyd_router_failovers_total`,
 		`shapleyd_router_worker_up{worker="w1"} 1`,
@@ -676,6 +647,9 @@ func TestRouterHealthReadyMetrics(t *testing.T) {
 			t.Fatalf("router /metrics lacks %q:\n%s", want, rec.Body.String())
 		}
 	}
+	if strings.Contains(rec.Body.String(), window) {
+		t.Fatalf("router /metrics still carries %q", window)
+	}
 
 	// Worker side: same family present (zeros included), and the
 	// liveness/readiness split behaves identically.
@@ -683,12 +657,14 @@ func TestRouterHealthReadyMetrics(t *testing.T) {
 	rec = doRaw(t, w1.srv, "GET", "/metrics", nil, nil)
 	for _, want := range []string{
 		`shapleyd_coalesced_requests_total{kind="singleflight"} 0`,
-		`shapleyd_coalesced_requests_total{kind="window"} 0`,
 		`shapleyd_coalesced_requests_total{kind="patch"} 0`,
 	} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Fatalf("worker /metrics lacks %q", want)
 		}
+	}
+	if strings.Contains(rec.Body.String(), window) {
+		t.Fatalf("worker /metrics still carries %q", window)
 	}
 	if rec = doRaw(t, w1.srv, "GET", "/readyz", nil, nil); rec.Code != http.StatusOK {
 		t.Fatalf("worker readyz: %d", rec.Code)

@@ -24,8 +24,8 @@ type RouterOptions struct {
 	// Config is the shard layout; required, must be validated.
 	Config *Config
 	// CoalesceWindow bounds how long the router holds the first of a
-	// burst of mergeable requests while collecting more. Zero means
-	// DefaultCoalesceWindow; negative disables coalescing.
+	// burst of PATCH deltas to one database while collecting more. Zero
+	// means DefaultCoalesceWindow; negative disables coalescing.
 	CoalesceWindow time.Duration
 	// ProbeInterval is the worker health-probe cadence. Zero means
 	// DefaultProbeInterval; negative disables probing (workers stay in
@@ -40,7 +40,7 @@ type RouterOptions struct {
 	Logger *slog.Logger
 }
 
-// DefaultCoalesceWindow is the request-merge window when
+// DefaultCoalesceWindow is the PATCH merge window when
 // RouterOptions.CoalesceWindow is 0.
 const DefaultCoalesceWindow = 2 * time.Millisecond
 
@@ -93,11 +93,11 @@ type routedDB struct {
 
 // Router is the cluster front: an http.Handler speaking the same API as
 // a single shapleyd worker, behind which database ids shard onto a
-// replicated consistent-hash ring of workers. It coalesces bursts of
-// mergeable work (concurrent single-fact requests into one batched
-// sweep, PATCH bursts into one delta), scatter-gathers mode=all across
-// replicas, probes worker health and fails over mid-request, and warms
-// recovered replicas from peer snapshots.
+// replicated consistent-hash ring of workers. It forwards single-fact
+// reads to one owner, coalesces PATCH bursts into one delta,
+// scatter-gathers mode=all across replicas, probes worker health and
+// fails over mid-request, and warms recovered replicas from peer
+// snapshots.
 type Router struct {
 	opts    RouterOptions
 	ring    *Ring
@@ -113,14 +113,8 @@ type Router struct {
 
 	draining atomic.Bool
 
-	coalescedWindow atomic.Int64
-	coalescedPatch  atomic.Int64
-	failovers       atomic.Int64
-
-	// Single-fact coalescing windows, keyed by (db, version, canonical
-	// query, exo, brute, workers).
-	fmu         sync.Mutex
-	factBatches map[string]*factBatch
+	coalescedPatch atomic.Int64
+	failovers      atomic.Int64
 
 	stop      context.CancelFunc
 	probeDone chan struct{}
@@ -148,15 +142,14 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		opts.ProbeTimeout = DefaultProbeTimeout
 	}
 	rt := &Router{
-		opts:        opts,
-		ring:        ring,
-		workers:     make(map[string]*workerState, len(opts.Config.Workers)),
-		mux:         http.NewServeMux(),
-		client:      opts.Client,
-		log:         opts.Logger,
-		start:       time.Now(),
-		dbs:         make(map[string]*routedDB),
-		factBatches: make(map[string]*factBatch),
+		opts:    opts,
+		ring:    ring,
+		workers: make(map[string]*workerState, len(opts.Config.Workers)),
+		mux:     http.NewServeMux(),
+		client:  opts.Client,
+		log:     opts.Logger,
+		start:   time.Now(),
+		dbs:     make(map[string]*routedDB),
 	}
 	if rt.client == nil {
 		rt.client = &http.Client{}
@@ -215,13 +208,11 @@ func (rt *Router) SetDraining(v bool) { rt.draining.Store(v) }
 // Ring exposes the router's shard ring (for tests and diagnostics).
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-// CoalescedWindow reports single-fact requests merged into another
-// request's batch. CoalescedPatch reports PATCH requests merged into
-// another request's delta. Failovers reports requests retried on another
-// replica after a worker failed.
-func (rt *Router) CoalescedWindow() int64 { return rt.coalescedWindow.Load() }
-func (rt *Router) CoalescedPatch() int64  { return rt.coalescedPatch.Load() }
-func (rt *Router) Failovers() int64       { return rt.failovers.Load() }
+// CoalescedPatch reports PATCH requests merged into another request's
+// delta. Failovers reports requests retried on another replica after a
+// worker failed.
+func (rt *Router) CoalescedPatch() int64 { return rt.coalescedPatch.Load() }
+func (rt *Router) Failovers() int64      { return rt.failovers.Load() }
 
 // ServeHTTP mirrors the worker's trace contract: honor a well-formed
 // inbound X-Trace-Id, echo it on the response, and attach a span
@@ -331,16 +322,24 @@ func (rt *Router) callWorker(ctx context.Context, ws *workerState, method, path 
 	return resp, sp, nil
 }
 
-// workerJSON is callWorker for fully buffered JSON exchanges: it reads
-// the body, ends the span, and — when tracing — grafts the worker's own
-// span tree (the "trace" field of its response, if any) under the
-// worker.call span, which is what makes ?trace=1 through the router show
-// the remote hop.
+// workerJSON is callWorker for fully buffered JSON exchanges.
 func (rt *Router) workerJSON(ctx context.Context, ws *workerState, method, path string, q url.Values, body []byte) (int, []byte, error) {
 	resp, sp, err := rt.callWorker(ctx, ws, method, path, q, body, "application/json", nil)
 	if err != nil {
 		return 0, nil, err
 	}
+	respBody, err := readWorkerJSON(ws, resp, sp)
+	if err != nil {
+		return 0, nil, err
+	}
+	return resp.StatusCode, respBody, nil
+}
+
+// readWorkerJSON reads a worker response whole, closes it and ends its
+// worker.call span. When tracing, it first grafts the worker's own span
+// tree (the "trace" field of its response, if any) under that span,
+// which is what makes ?trace=1 through the router show the remote hop.
+func readWorkerJSON(ws *workerState, resp *http.Response, sp *obs.Span) ([]byte, error) {
 	defer resp.Body.Close()
 	respBody, err := io.ReadAll(resp.Body)
 	if err == nil && sp.Recording() {
@@ -354,9 +353,9 @@ func (rt *Router) workerJSON(ctx context.Context, ws *workerState, method, path 
 	sp.End()
 	if err != nil {
 		ws.fail.Add(1)
-		return 0, nil, err
+		return nil, err
 	}
-	return resp.StatusCode, respBody, nil
+	return respBody, nil
 }
 
 // probeLoop drives worker health: every interval, GET /readyz on every
@@ -488,16 +487,16 @@ func writeError(w http.ResponseWriter, status int, kind, msg string) {
 	writeJSON(w, status, errorBody{Error: msg, Kind: kind})
 }
 
-// relay copies a worker response (status, content headers, body) to the
-// client verbatim.
-func relay(w http.ResponseWriter, resp *http.Response) {
+// relay copies a worker response's status and content headers to the
+// client, followed by body.
+func relay(w http.ResponseWriter, resp *http.Response, body io.Reader) {
 	for _, h := range []string{"Content-Type", "X-Cache", "X-Snapshot-Version", "X-Snapshot-Plans"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	_, _ = io.Copy(w, body)
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -548,10 +547,9 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
-	fmt.Fprintln(w, "# HELP shapleyd_coalesced_requests_total Requests answered by merging into another request's work instead of doing their own: singleflight joins an in-flight plan preparation; window and patch are the cluster router's bounded-window merges of single-fact requests and PATCH deltas.")
+	fmt.Fprintln(w, "# HELP shapleyd_coalesced_requests_total Requests answered by merging into another request's work instead of doing their own: singleflight joins an in-flight plan preparation; patch is the cluster router's bounded-window merge of PATCH deltas.")
 	fmt.Fprintln(w, "# TYPE shapleyd_coalesced_requests_total counter")
 	fmt.Fprintf(w, "shapleyd_coalesced_requests_total{kind=\"singleflight\"} %d\n", 0)
-	fmt.Fprintf(w, "shapleyd_coalesced_requests_total{kind=\"window\"} %d\n", rt.coalescedWindow.Load())
 	fmt.Fprintf(w, "shapleyd_coalesced_requests_total{kind=\"patch\"} %d\n", rt.coalescedPatch.Load())
 
 	fmt.Fprintln(w, "# HELP shapleyd_router_failovers_total Requests retried on another replica after a worker failed.")

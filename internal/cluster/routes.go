@@ -182,6 +182,12 @@ func (rt *Router) handleOwnerPost(w http.ResponseWriter, r *http.Request) {
 	rt.relayToOwner(w, r, http.MethodPost, body)
 }
 
+// relayToOwner forwards a request verbatim to the first owning replica
+// that answers, failing over down the owner list, and streams the
+// worker's response back. The one body it rewrites is a traced JSON 200
+// that carries the worker's trace: the worker's span tree grafts under
+// this hop's worker.call span, and the router's own trace replaces it in
+// the body, so ?trace=1 through the router shows the full path.
 func (rt *Router) relayToOwner(w http.ResponseWriter, r *http.Request, method string, body []byte) {
 	id := r.PathValue("id")
 	ds, ok := rt.lookupDB(id)
@@ -193,12 +199,10 @@ func (rt *Router) relayToOwner(w http.ResponseWriter, r *http.Request, method st
 	if a := r.Header.Get("Accept"); a != "" {
 		hdr = http.Header{"Accept": []string{a}}
 	}
-	first := true
-	for _, ws := range rt.liveOwners(ds) {
-		if !first {
+	for i, ws := range rt.liveOwners(ds) {
+		if i > 0 {
 			rt.failovers.Add(1)
 		}
-		first = false
 		resp, sp, err := rt.callWorker(r.Context(), ws, method, r.URL.Path, nil, body, "application/json", hdr)
 		if err != nil {
 			continue
@@ -209,7 +213,15 @@ func (rt *Router) relayToOwner(w http.ResponseWriter, r *http.Request, method st
 			sp.End()
 			continue
 		}
-		relay(w, resp)
+		if sp.Recording() && resp.StatusCode == http.StatusOK && resp.Header.Get("Content-Type") == "application/json" {
+			respBody, err := readWorkerJSON(ws, resp, sp)
+			if err != nil {
+				continue
+			}
+			relay(w, resp, bytes.NewReader(withRouterTrace(r.Context(), respBody)))
+			return
+		}
+		relay(w, resp, resp.Body)
 		resp.Body.Close()
 		sp.End()
 		return

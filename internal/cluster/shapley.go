@@ -9,19 +9,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
-	"repro/internal/db"
 	"repro/internal/obs"
-	"repro/internal/query"
 )
 
 // routerShapleyRequest mirrors the worker's shapley request body — the
-// router must understand it to coalesce and scatter; bodies it cannot
-// decode forward verbatim so the worker owns the error message.
+// router must understand it to scatter mode=all; bodies it cannot decode
+// forward verbatim so the worker owns the error message.
 type routerShapleyRequest struct {
 	Query      string   `json:"query"`
 	Fact       string   `json:"fact,omitempty"`
@@ -50,303 +46,54 @@ type workerShapleyResponse struct {
 	Trace    json.RawMessage   `json:"trace,omitempty"`
 }
 
-// canonicalQuery renders the request query exactly like the worker's
-// parse (a one-disjunct union is a CQ), so coalescing keys — and the
-// batched request the window sends — agree with what the worker answers.
-func canonicalQuery(src string) (string, error) {
-	u, err := query.ParseUCQ(src)
-	if err != nil {
-		return "", err
+// withRouterTrace swaps the trace in a traced worker's JSON response for
+// the router's own, whose worker.call span already holds the worker's
+// tree. Of the bodies the router forwards, only shapley responses carry
+// a trace; any other body comes back unchanged.
+func withRouterTrace(ctx context.Context, body []byte) []byte {
+	var resp workerShapleyResponse
+	if json.Unmarshal(body, &resp) != nil || resp.Trace == nil {
+		return body
 	}
-	if len(u.Disjuncts) == 1 {
-		return u.Disjuncts[0].String(), nil
-	}
-	return u.String(), nil
+	resp.Trace = mustJSON(obs.RecorderFrom(ctx).Finish())
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ") // the worker's writeJSON settings
+	_ = enc.Encode(resp)
+	return buf.Bytes()
 }
 
+// handleShapley scatters mode=all batches across the database's replicas
+// and forwards every other request — a single fact, an explicit facts
+// batch, a body the router cannot decode — verbatim to one owner. Each
+// single-fact value is one toggle on the worker, and merging concurrent
+// reads saves no toggles, so a single-fact read is one hop with failover.
 func (rt *Router) handleShapley(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ds, ok := rt.lookupDB(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no database %q", id))
-		return
-	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	var req routerShapleyRequest
-	if err := decodeJSONBody(body, &req); err != nil {
-		// Not a body the router understands: let the worker reject it so
-		// error text matches the single-process server exactly.
+	if decodeJSONBody(body, &req) != nil || req.Mode != "all" {
 		rt.relayToOwner(w, r, http.MethodPost, body)
 		return
 	}
-	if req.Mode == "all" {
-		if wantsNDJSON(r) {
-			rt.scatterStream(w, r, ds, &req)
-			return
-		}
-		rt.scatterAll(w, r, ds, &req, body)
+	id := r.PathValue("id")
+	ds, ok := rt.lookupDB(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no database %q", id))
 		return
 	}
-	canonical, cerr := canonicalQuery(req.Query)
-	if req.Mode != "" || cerr != nil || req.Fact == "" || len(req.Facts) > 0 ||
-		req.Offset != 0 || req.Limit != 0 {
-		// Validation errors, explicit fact batches, and anything else the
-		// window cannot merge: one owning replica handles it whole.
-		rt.relayToOwner(w, r, http.MethodPost, body)
+	if wantsNDJSON(r) {
+		rt.scatterStream(w, r, ds, &req)
 		return
 	}
-	f, ferr := db.ParseFact(req.Fact)
-	if ferr != nil {
-		rt.relayToOwner(w, r, http.MethodPost, body)
-		return
-	}
-	if obs.RecorderFrom(r.Context()) != nil {
-		// Traced requests bypass the window: coalescing would attribute
-		// one worker trace to several callers. The direct path still
-		// grafts the remote hop under worker.call.
-		rt.tracedSingleFact(w, r, ds, body)
-		return
-	}
-	if rt.opts.CoalesceWindow < 0 {
-		rt.relayToOwner(w, r, http.MethodPost, body)
-		return
-	}
-	rt.coalesceSingleFact(w, r, ds, &req, canonical, f.Key())
+	rt.scatterAll(w, r, ds, &req, body)
 }
 
 func wantsNDJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-}
-
-// tracedSingleFact forwards one single-fact request directly (with
-// failover), then rewrites the response trace: the worker's span tree is
-// grafted under this request's worker.call span and the router's own
-// trace replaces it in the body — ?trace=1 through the router shows the
-// full path, remote hop included.
-func (rt *Router) tracedSingleFact(w http.ResponseWriter, r *http.Request, ds *routedDB, body []byte) {
-	for i, ws := range rt.liveOwners(ds) {
-		if i > 0 {
-			rt.failovers.Add(1)
-		}
-		status, respBody, err := rt.workerJSON(r.Context(), ws, http.MethodPost, r.URL.Path, nil, body)
-		if err != nil || status >= 500 {
-			continue
-		}
-		var resp workerShapleyResponse
-		if status == http.StatusOK && json.Unmarshal(respBody, &resp) == nil {
-			if rec := obs.RecorderFrom(r.Context()); rec != nil {
-				if tb, err := json.Marshal(rec.Finish()); err == nil {
-					resp.Trace = tb
-				}
-			}
-			writeJSON(w, status, resp)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_, _ = w.Write(respBody)
-		return
-	}
-	writeError(w, http.StatusBadGateway, "no_replicas", fmt.Sprintf("no replica of %q is reachable", ds.id))
-}
-
-// factResult is the complete per-caller response of a coalesced
-// single-fact request.
-type factResult struct {
-	status int
-	body   []byte
-}
-
-// factBatch is one open single-fact merge window: concurrent requests
-// for the same (database, version, query, exo, brute, workers) that
-// arrive within the window merge into one batched "facts" request — one
-// plan lookup and one toggle sweep on the worker regardless of how many
-// clients asked.
-type factBatch struct {
-	ds        *routedDB
-	path      string
-	canonical string
-	exo       []string
-	brute     bool
-	workers   int
-
-	timer   *time.Timer
-	facts   []string // unique normalized fact keys, arrival order
-	waiters map[string][]chan factResult
-	n       int
-}
-
-// coalesceSingleFact parks the request in the window batch for its key
-// (opening one if none is pending) and waits for the merged result.
-func (rt *Router) coalesceSingleFact(w http.ResponseWriter, r *http.Request, ds *routedDB, req *routerShapleyRequest, canonical, factKey string) {
-	exo := append([]string(nil), req.Exo...)
-	sort.Strings(exo)
-	ds.mu.RLock()
-	version := ds.version
-	ds.mu.RUnlock()
-	key := fmt.Sprintf("%s\x00v%d\x00%s\x00%s\x00%t\x00%d",
-		ds.id, version, canonical, strings.Join(exo, ","), req.BruteForce, req.Workers)
-
-	ch := make(chan factResult, 1)
-	rt.fmu.Lock()
-	b, open := rt.factBatches[key]
-	if !open {
-		b = &factBatch{
-			ds:        ds,
-			path:      dbPath(ds.id) + "/shapley",
-			canonical: canonical,
-			exo:       req.Exo,
-			brute:     req.BruteForce,
-			workers:   req.Workers,
-			waiters:   map[string][]chan factResult{},
-		}
-		rt.factBatches[key] = b
-		b.timer = time.AfterFunc(rt.opts.CoalesceWindow, func() {
-			rt.fmu.Lock()
-			if rt.factBatches[key] == b {
-				delete(rt.factBatches, key)
-			}
-			rt.fmu.Unlock()
-			rt.runFactBatch(b)
-		})
-	}
-	if _, dup := b.waiters[factKey]; !dup {
-		b.facts = append(b.facts, factKey)
-	}
-	b.waiters[factKey] = append(b.waiters[factKey], ch)
-	b.n++
-	rt.fmu.Unlock()
-
-	res := <-ch
-	if res.body == nil {
-		writeError(w, http.StatusBadGateway, "no_replicas", fmt.Sprintf("no replica of %q is reachable", ds.id))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
-}
-
-// runFactBatch executes one flushed window: a single batched request to
-// one owning replica (failing over down the owner list), whose values
-// split back into per-caller single-fact responses.
-func (rt *Router) runFactBatch(b *factBatch) {
-	if n := int64(b.n) - 1; n > 0 {
-		rt.coalescedWindow.Add(n)
-	}
-	reqBody, _ := json.Marshal(routerShapleyRequest{
-		Query:      b.canonical,
-		Facts:      b.facts,
-		Workers:    b.workers,
-		Exo:        b.exo,
-		BruteForce: b.brute,
-	})
-	//repolint:allow ctxflow: the merged batch serves many callers at once — it must not die with whichever caller's context happens to cancel first
-	ctx := context.Background()
-	for i, ws := range rt.liveOwners(b.ds) {
-		if i > 0 {
-			rt.failovers.Add(1)
-		}
-		status, respBody, err := rt.workerJSON(ctx, ws, http.MethodPost, b.path, nil, reqBody)
-		if err != nil || status >= 500 {
-			continue
-		}
-		if status != http.StatusOK {
-			// One caller's bad fact must not fail the innocent rest of the
-			// window — and the worker's batch errors are fact-prefixed,
-			// unlike its single-fact ones. Degrade to uncoalesced per-fact
-			// forwards so each caller gets exactly the response a direct
-			// single-fact request would produce.
-			rt.perFactFallback(ctx, b)
-			return
-		}
-		var resp workerShapleyResponse
-		if json.Unmarshal(respBody, &resp) != nil || len(resp.Values) != len(b.facts) {
-			continue
-		}
-		for i, fk := range b.facts {
-			var v struct {
-				Fact string `json:"fact"`
-			}
-			_ = json.Unmarshal(resp.Values[i], &v)
-			if v.Fact != fk {
-				// Order disagreement would misattribute values; fall back
-				// hard rather than guess.
-				rt.perFactFallback(ctx, b)
-				return
-			}
-			single := workerShapleyResponse{
-				Database: resp.Database,
-				Version:  resp.Version,
-				Query:    resp.Query,
-				Method:   resp.Method,
-				Cache:    resp.Cache,
-				Value:    resp.Values[i],
-			}
-			body, err := encodeIndented(single)
-			res := factResult{status: http.StatusOK, body: body}
-			if err != nil {
-				res = factResult{}
-			}
-			for _, ch := range b.waiters[fk] {
-				ch <- res
-			}
-		}
-		return
-	}
-	b.deliverAll(factResult{})
-}
-
-// perFactFallback answers each distinct fact of a poisoned batch with
-// its own uncoalesced request.
-func (rt *Router) perFactFallback(ctx context.Context, b *factBatch) {
-	for _, fk := range b.facts {
-		reqBody, _ := json.Marshal(routerShapleyRequest{
-			Query:      b.canonical,
-			Fact:       fk,
-			Workers:    b.workers,
-			Exo:        b.exo,
-			BruteForce: b.brute,
-		})
-		res := factResult{}
-		for i, ws := range rt.liveOwners(b.ds) {
-			if i > 0 {
-				rt.failovers.Add(1)
-			}
-			status, respBody, err := rt.workerJSON(ctx, ws, http.MethodPost, b.path, nil, reqBody)
-			if err != nil || status >= 500 {
-				continue
-			}
-			res = factResult{status: status, body: respBody}
-			break
-		}
-		for _, ch := range b.waiters[fk] {
-			ch <- res
-		}
-	}
-}
-
-func (b *factBatch) deliverAll(res factResult) {
-	for _, chans := range b.waiters {
-		for _, ch := range chans {
-			ch <- res
-		}
-	}
-}
-
-// encodeIndented matches the worker's writeJSON encoder byte for byte.
-func encodeIndented(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // endoCount asks a replica how many endogenous facts the database has

@@ -1,7 +1,7 @@
 // Package cluster implements the sharded, replicated deployment mode of
 // shapleyd: a consistent-hash ring assigning database ids to replicated
-// worker shards, a health-probing, request-coalescing HTTP router in
-// front of them, and the portable snapshot encoding workers use to warm
+// worker shards, a health-probing, failing-over HTTP router in front of
+// them, and the portable snapshot encoding workers use to warm
 // up new or recovered replicas without recomputing DP-trees.
 //
 // The package deliberately does not import internal/server: the router

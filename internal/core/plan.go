@@ -121,9 +121,9 @@ func (v *PlanView) ShapleyAll(ctx context.Context, opts BatchOptions) ([]*Shaple
 // ShapleySubset computes the values of an explicit list of endogenous
 // facts of the pinned snapshot, in the given order, fanning the per-fact
 // work across the worker pool exactly like ShapleyAll. It exists for
-// serving layers that batch concurrent single-fact requests (or scatter
-// fact ranges across replicas): the per-fact toggles share the prepared
-// DP-tree, so K coalesced facts cost one sweep of K toggles, not K
+// serving layers that answer explicit fact batches (or scatter fact
+// ranges across replicas): the per-fact toggles share the prepared
+// DP-tree, so K batched facts cost one sweep of K toggles, not K
 // preparations. Each value is bit-identical to Shapley on that fact.
 func (v *PlanView) ShapleySubset(ctx context.Context, facts []db.Fact, opts BatchOptions) ([]*ShapleyValue, error) {
 	if err := ctxErr(ctx); err != nil {

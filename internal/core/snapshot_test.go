@@ -211,8 +211,8 @@ func TestPlanImportDetectsTampering(t *testing.T) {
 	})
 }
 
-// TestPlanViewShapleySubset pins the batched single-fact path the cluster
-// router's coalescing front rides on: a subset request returns the same
+// TestPlanViewShapleySubset pins the batched single-fact path the
+// server's "facts" requests ride on: a subset request returns the same
 // values as the corresponding single-fact calls, in request order.
 func TestPlanViewShapleySubset(t *testing.T) {
 	for _, fx := range snapshotFixtures() {

@@ -307,10 +307,10 @@ type shapleyRequest struct {
 	Fact string `json:"fact,omitempty"`
 	// Facts selects batched single-fact mode: the values of exactly these
 	// endogenous facts, answered in request order. The per-fact toggles
-	// share one prepared plan, so K facts cost one sweep of K toggles —
-	// this is the request shape the cluster router's coalescing window
-	// merges concurrent single-fact requests into. Mutually exclusive
-	// with fact and with mode=all.
+	// share one prepared plan, so K facts cost one sweep of K toggles in
+	// one request; this is how a client asks for batching, since the
+	// cluster router forwards each single-fact request on its own.
+	// Mutually exclusive with fact and with mode=all.
 	Facts []string `json:"facts,omitempty"`
 	// Mode "all" computes every endogenous fact; default is single-fact.
 	Mode string `json:"mode,omitempty"`

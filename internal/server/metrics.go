@@ -52,13 +52,12 @@ type metrics struct {
 
 	// Coalesced requests, by mechanism. A worker only ever increments
 	// "singleflight" (requests that joined another request's in-flight
-	// plan preparation instead of preparing their own); "window" and
-	// "patch" are the cluster router's merges and are incremented by its
-	// metrics (the router exposes the same family). All three series are
-	// emitted on every process, zeros included, so dashboards can sum the
-	// family fleet-wide without per-role relabeling.
+	// plan preparation instead of preparing their own); "patch" is the
+	// cluster router's PATCH merge and is incremented by its metrics (the
+	// router exposes the same family). Both series are emitted on every
+	// process, zeros included, so dashboards can sum the family
+	// fleet-wide without per-role relabeling.
 	coalescedSingleflight atomic.Int64
-	coalescedWindow       atomic.Int64
 	coalescedPatch        atomic.Int64
 
 	// DP-tree memo traffic, accumulated over every tree construction
@@ -188,10 +187,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# TYPE shapleyd_plans_patched_total counter")
 	fmt.Fprintf(w, "shapleyd_plans_patched_total %d\n", s.met.plansPatched.Load())
 
-	fmt.Fprintln(w, "# HELP shapleyd_coalesced_requests_total Requests answered by merging into another request's work instead of doing their own: singleflight joins an in-flight plan preparation; window and patch are the cluster router's bounded-window merges of single-fact requests and PATCH deltas.")
+	fmt.Fprintln(w, "# HELP shapleyd_coalesced_requests_total Requests answered by merging into another request's work instead of doing their own: singleflight joins an in-flight plan preparation; patch is the cluster router's bounded-window merge of PATCH deltas.")
 	fmt.Fprintln(w, "# TYPE shapleyd_coalesced_requests_total counter")
 	fmt.Fprintf(w, "shapleyd_coalesced_requests_total{kind=\"singleflight\"} %d\n", s.met.coalescedSingleflight.Load())
-	fmt.Fprintf(w, "shapleyd_coalesced_requests_total{kind=\"window\"} %d\n", s.met.coalescedWindow.Load())
 	fmt.Fprintf(w, "shapleyd_coalesced_requests_total{kind=\"patch\"} %d\n", s.met.coalescedPatch.Load())
 
 	fmt.Fprintln(w, "# HELP shapleyd_tree_memo_hits_total DP-tree subtrees reused from the content-addressed memo across plan builds.")

@@ -337,8 +337,8 @@ func (s *Server) CacheStats() (hits, misses, evictions int64, entries int) {
 func (s *Server) PlansPrepared() int64 { return s.met.plansPrepared.Load() }
 
 // ValuesComputed reports how many Shapley values this server has computed
-// and returned (exported for tests: the cluster coalescing assertion pins
-// the worker to one toggle sweep across K merged single-fact requests).
+// and returned (exported for tests: the cluster forwarding test pins the
+// worker to exactly one value per routed single-fact read).
 func (s *Server) ValuesComputed() int64 { return s.met.valuesComputed.Load() }
 
 // CoalescedSingleflight reports requests that joined another request's
