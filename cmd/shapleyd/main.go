@@ -29,9 +29,10 @@
 // replicates every database onto -replication workers, forwards each
 // single-fact request to one owning worker, coalesces PATCH bursts within
 // -coalesce-window, scatters mode=all batches across replicas, and fails
-// over automatically when a worker dies (recovered workers are re-warmed
-// from a peer's plan snapshot). -shards points at a JSON shard config
-// file instead of the inline list.
+// over automatically when a worker dies (a recovered worker receives a
+// peer's snapshot — the database and its cached plan keys — and prepares
+// those plans before the router routes to it again). -shards points at a
+// JSON shard config file instead of the inline list.
 //
 // Observability (see docs/observability.md):
 //

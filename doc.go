@@ -56,8 +56,10 @@
 //     one owning worker, a bounded window merging PATCH bursts into one
 //     delta, health-probed automatic failover (including
 //     mid-stream re-request of the undelivered suffix), and snapshot
-//     warm-up that ships a live replica's plan memos to a rejoining
-//     worker — routed answers are bit-identical to a single process,
+//     warm-up that ships a live replica's database and cached plan keys
+//     to a rejoining worker, which re-prepares those plans before it
+//     rejoins routing — routed answers are bit-identical to a single
+//     process,
 //   - an always-on observability layer (internal/obs, docs/observability.md):
 //     context-carried phase spans across the whole compute stack (prepare,
 //     apply, per-worker batch work, DP-tree toggles, weighting) that

@@ -27,18 +27,35 @@ import (
 
 // workerProxy fronts one worker server so tests can simulate crashes
 // (dead: the TCP connection is severed, which the router sees as a
-// transport error) and mid-stream failures (truncate: NDJSON shapley
-// streams stop after two value lines, no trailer).
+// transport error), mid-stream failures (truncate: NDJSON shapley
+// streams stop after two value lines, no trailer) and a slow warm-up
+// (snapshotGate: snapshot PUTs wait until the gate opens).
 type workerProxy struct {
-	inner    http.Handler
-	dead     atomic.Bool
-	truncate atomic.Bool
-	patches  atomic.Int64 // PATCH requests that reached this worker
+	inner        http.Handler
+	dead         atomic.Bool
+	truncate     atomic.Bool
+	patches      atomic.Int64 // PATCH requests that reached this worker
+	requests     atomic.Int64 // requests of any kind that reached this worker
+	snapshotGate atomic.Pointer[gate]
 }
 
+// gate holds requests: arrived closes when the first one reaches it, and
+// every held request proceeds once release is closed.
+type gate struct {
+	arrived, release chan struct{}
+	once             sync.Once
+}
+
+func newGate() *gate { return &gate{arrived: make(chan struct{}), release: make(chan struct{})} }
+
 func (p *workerProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	p.requests.Add(1)
 	if r.Method == http.MethodPatch {
 		p.patches.Add(1)
+	}
+	if g := p.snapshotGate.Load(); g != nil && r.Method == http.MethodPut && strings.HasSuffix(r.URL.Path, "/snapshot") {
+		g.once.Do(func() { close(g.arrived) })
+		<-g.release
 	}
 	if p.dead.Load() {
 		hj, ok := w.(http.Hijacker)
@@ -534,10 +551,25 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
+// waitWorkerUp polls the router's /metrics until its prober reports the
+// named worker up.
+func waitWorkerUp(t *testing.T, rt http.Handler, name string) {
+	t.Helper()
+	want := fmt.Sprintf("shapleyd_router_worker_up{worker=%q} 1", name)
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(doRaw(t, rt, "GET", "/metrics", nil, nil).Body.String(), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("router never reported %s up", name)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestWorkerRecoveryWarmsReplica: a worker that was down while the fleet
-// took writes must, on recovery, be warmed from a peer snapshot — same
-// version, same fingerprint, and able to serve correct answers when its
-// peer later dies — without recomputing plans from scratch.
+// took writes must, on recovery, be warmed from a peer snapshot before
+// the router routes to it again — same version, same fingerprint, its
+// plans cached, and able to serve correct answers when its peer later
+// dies.
 func TestWorkerRecoveryWarmsReplica(t *testing.T) {
 	tc := newCluster(t, 2, 2, time.Millisecond, 25*time.Millisecond)
 	w1, w2 := tc.workers["w1"], tc.workers["w2"]
@@ -549,30 +581,16 @@ func TestWorkerRecoveryWarmsReplica(t *testing.T) {
 	if rec := doRaw(t, tc.rt, "PATCH", "/v1/databases/uni", patch, nil); rec.Code != http.StatusOK {
 		t.Fatalf("patch with one replica down: %d: %s", rec.Code, rec.Body.String())
 	}
-	// Prepare a plan on w1 so the warm-up ships it, not just the facts.
+	// Prepare a plan on w1 so the warm-up ships its key, not just the facts.
 	q := mustMarshal(t, map[string]any{"query": uniQ1, "mode": "all"})
 	if rec := doRaw(t, tc.rt, "POST", "/v1/databases/uni/shapley", q, nil); rec.Code != http.StatusOK {
 		t.Fatalf("mode=all with one replica down: %d", rec.Code)
 	}
 
-	// w2 comes back; the prober should mark it up and warm it from w1.
+	// w2 comes back; the prober warms it from w1 and only then marks it
+	// up, so once the router reports it up, its state must be current.
 	w2.proxy.dead.Store(false)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rec := doRaw(t, w2.srv, "GET", "/v1/databases/uni", nil, nil)
-		if rec.Code == http.StatusOK {
-			var in struct {
-				Version int `json:"version"`
-			}
-			if json.Unmarshal(rec.Body.Bytes(), &in) == nil && in.Version == 2 {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("w2 was never warmed (last: %d %s)", rec.Code, rec.Body.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitWorkerUp(t, tc.rt, "w2")
 
 	// Both replicas agree on the database identity.
 	f1 := doRaw(t, w1.srv, "GET", "/v1/databases/uni", nil, nil).Body.String()
@@ -587,16 +605,17 @@ func TestWorkerRecoveryWarmsReplica(t *testing.T) {
 	if err := json.Unmarshal([]byte(f2), &i2); err != nil {
 		t.Fatal(err)
 	}
-	if i1 != i2 {
+	if i2.Version != 2 || i1 != i2 {
 		t.Fatalf("replicas disagree after warm-up: %+v vs %+v", i1, i2)
 	}
-	// The snapshot carried the prepared plan: w2 answers from cache.
+	// The snapshot carried the plan's key and w2 prepared it before
+	// publishing the database: w2 answers from cache.
 	rec := doRaw(t, w2.srv, "POST", "/v1/databases/uni/shapley", q, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("w2 after warm-up: %d: %s", rec.Code, rec.Body.String())
 	}
-	if !strings.Contains(rec.Body.String(), `"cache": "hit"`) {
-		t.Fatalf("warmed replica should answer from the imported plan, got: %s", rec.Body.String())
+	if !strings.Contains(rec.Body.String(), `"cache": "hit"`) || !strings.Contains(rec.Body.String(), `"version": 2`) {
+		t.Fatalf("warmed replica should answer version 2 from its warm plan, got: %s", rec.Body.String())
 	}
 
 	// Now w1 dies; the warmed replica carries the database alone.
@@ -608,6 +627,89 @@ func TestWorkerRecoveryWarmsReplica(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), `"version": 2`) {
 		t.Fatalf("surviving replica served a stale version: %s", rec.Body.String())
+	}
+}
+
+// TestRecoveringOwnerStaysOutOfRouting: while a recovered worker's
+// warm-up is in flight it holds no copy of the database, so the router
+// must keep routing around it. The recovering worker here is the
+// database's first ring owner, and its snapshot PUT is held open: every
+// routed read in that window must be a 200 from the peer, never the
+// recovering worker's 404.
+func TestRecoveringOwnerStaysOutOfRouting(t *testing.T) {
+	tc := newCluster(t, 2, 2, time.Millisecond, 25*time.Millisecond)
+	owners := tc.rt.Ring().Owners("uni")
+	primary, peer := tc.workers[owners[0]], tc.workers[owners[1]]
+
+	primary.proxy.dead.Store(true)
+	registerUni(t, tc.rt)
+	single := mustMarshal(t, map[string]any{"query": uniQ1, "fact": "TA(Adam)"})
+	if rec := doRaw(t, tc.rt, "POST", "/v1/databases/uni/shapley", single, nil); rec.Code != http.StatusOK {
+		t.Fatalf("read with the primary down: %d: %s", rec.Code, rec.Body.String())
+	}
+
+	g := newGate()
+	release := sync.OnceFunc(func() { close(g.release) })
+	t.Cleanup(release) // a held PUT would block the worker's shutdown
+	primary.proxy.snapshotGate.Store(g)
+	primary.proxy.dead.Store(false)
+	select {
+	case <-g.arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the recovered primary was never sent a warm-up snapshot")
+	}
+	base := peer.srv.ValuesComputed()
+	const reads = 20
+	for i := 0; i < reads; i++ {
+		rec := doRaw(t, tc.rt, "POST", "/v1/databases/uni/shapley", single, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("routed read %d during the warm-up: %d: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	if got := peer.srv.ValuesComputed() - base; got != reads {
+		t.Fatalf("the peer computed %d of %d reads during the warm-up", got, reads)
+	}
+
+	// Once the warm-up lands, the primary rejoins and serves from its
+	// warm plan.
+	release()
+	waitWorkerUp(t, tc.rt, primary.name)
+	rec := doRaw(t, primary.srv, "POST", "/v1/databases/uni/shapley", single, nil)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cache": "hit"`) {
+		t.Fatalf("warmed primary: %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestRouterBoundsRequestBodies: the router refuses a body past
+// MaxBodyBytes with a 400 before any worker sees the request. Both bodies
+// are well-formed, so only the bound stops them.
+func TestRouterBoundsRequestBodies(t *testing.T) {
+	tc := newCluster(t, 2, 2, time.Millisecond, -1)
+	const prefix, suffix = `{"id":"big","text":"`, `"}`
+	register := []byte(prefix + strings.Repeat("x", cluster.MaxBodyBytes+1-len(prefix)-len(suffix)) + suffix)
+	// The text's length prefix takes 4 bytes both at MaxBodyBytes and just
+	// below it, so trimming the overshoot leaves a body one byte too long.
+	text := strings.Repeat("x", cluster.MaxBodyBytes)
+	over := len(cluster.EncodeSnapshot(&cluster.Snapshot{ID: "big", Version: 1, DBText: text})) - cluster.MaxBodyBytes - 1
+	snapshot := cluster.EncodeSnapshot(&cluster.Snapshot{ID: "big", Version: 1, DBText: text[over:]})
+	for _, req := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{"POST", "/v1/databases", register},
+		{"PUT", "/v1/databases/big/snapshot", snapshot},
+	} {
+		if len(req.body) != cluster.MaxBodyBytes+1 {
+			t.Fatalf("%s %s: body of %d bytes, want %d", req.method, req.path, len(req.body), cluster.MaxBodyBytes+1)
+		}
+		if rec := doRaw(t, tc.rt, req.method, req.path, req.body, nil); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s %s past the bound: status %d, want 400: %.200s", req.method, req.path, rec.Code, rec.Body.String())
+		}
+	}
+	for name, w := range tc.workers {
+		if n := w.proxy.requests.Load(); n != 0 {
+			t.Fatalf("worker %s received %d requests with bodies past the bound", name, n)
+		}
 	}
 }
 

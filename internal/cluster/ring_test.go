@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
@@ -183,27 +182,5 @@ func TestSplitRanges(t *testing.T) {
 				t.Fatalf("splitRanges(%d,%d) = %v, want %v", tc.n, tc.replicas, got, tc.want)
 			}
 		}
-	}
-}
-
-func TestSnapshotWireCorruption(t *testing.T) {
-	s := &Snapshot{ID: "uni", Version: 3, DBText: "endo R(a)\n"}
-	data := EncodeSnapshot(s)
-	if _, err := DecodeSnapshot(data); err != nil {
-		t.Fatalf("round trip: %v", err)
-	}
-	if _, err := DecodeSnapshot(nil); err == nil {
-		t.Fatal("empty snapshot accepted")
-	}
-	if _, err := DecodeSnapshot(data[:len(data)-1]); err == nil {
-		t.Fatal("truncated snapshot accepted")
-	}
-	if _, err := DecodeSnapshot(append(bytes.Clone(data), 0)); err == nil {
-		t.Fatal("trailing garbage accepted")
-	}
-	flipped := bytes.Clone(data)
-	flipped[0] ^= 0xff
-	if _, err := DecodeSnapshot(flipped); err == nil {
-		t.Fatal("bad magic accepted")
 	}
 }

@@ -54,16 +54,23 @@ const DefaultProbeTimeout = 2 * time.Second
 // failThreshold is how many consecutive probe failures mark a worker down.
 const failThreshold = 2
 
+// MaxBodyBytes bounds the request bodies the router reads. It is also the
+// workers' default bound (server.DefaultMaxBodyBytes), so the router
+// refuses a body before buffering it when a worker would refuse it anyway.
+const MaxBodyBytes = 32 << 20
+
 // workerState is one worker's health and traffic accounting. The up flag
 // is written by the prober (state machine over consecutive outcomes) and,
 // pessimistically, by any request path that hits a transport-level error;
-// only the prober ever flips a worker back up, after a successful probe.
+// only the prober's warm-up flips a worker back up, once a successful
+// probe has been followed by warming every database the worker owns.
 type workerState struct {
 	name string
 	url  string
 
 	up          atomic.Bool
-	consecFails int // prober goroutine only
+	warming     atomic.Bool // a warm-up is in flight; at most one per worker
+	consecFails int         // prober goroutine only
 
 	ok   atomic.Int64
 	fail atomic.Int64
@@ -214,11 +221,15 @@ func (rt *Router) Ring() *Ring { return rt.ring }
 func (rt *Router) CoalescedPatch() int64 { return rt.coalescedPatch.Load() }
 func (rt *Router) Failovers() int64      { return rt.failovers.Load() }
 
-// ServeHTTP mirrors the worker's trace contract: honor a well-formed
-// inbound X-Trace-Id, echo it on the response, and attach a span
-// recorder when the request opts in with ?trace=1 — so one trace id
-// follows a request through the router into whichever workers serve it.
+// ServeHTTP bounds the request body by MaxBodyBytes and mirrors the
+// worker's trace contract: honor a well-formed inbound X-Trace-Id, echo
+// it on the response, and attach a span recorder when the request opts
+// in with ?trace=1 — so one trace id follows a request through the
+// router into whichever workers serve it.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Body != nil {
+		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	}
 	tid := r.Header.Get("X-Trace-Id")
 	if tid == "" || len(tid) > 64 ||
 		strings.ContainsFunc(tid, func(c rune) bool { return c < 0x21 || c > 0x7e }) {
@@ -360,10 +371,11 @@ func readWorkerJSON(ws *workerState, resp *http.Response, sp *obs.Span) ([]byte,
 
 // probeLoop drives worker health: every interval, GET /readyz on every
 // worker. failThreshold consecutive failures mark a worker down; the
-// first success after being down marks it up and triggers an
-// asynchronous warm-up (snapshots of every database it owns, shipped
-// from a healthy peer), so a recovered replica rejoins with current
-// state instead of serving stale answers or 404s.
+// first success after being down starts an asynchronous warm-up
+// (snapshots of every database it owns, shipped from a healthy peer), and
+// the worker is marked up only when the warm-up returns, so a recovered
+// replica rejoins routing with current state instead of answering stale
+// values or 404s.
 func (rt *Router) probeLoop(ctx context.Context) {
 	defer close(rt.probeDone)
 	tick := time.NewTicker(rt.opts.ProbeInterval)
@@ -395,9 +407,13 @@ func (rt *Router) probeWorker(ctx context.Context, ws *workerState) {
 	}
 	if ok {
 		ws.consecFails = 0
-		if !ws.up.Swap(true) {
-			rt.log.Info("worker recovered", "worker", ws.name)
-			go rt.warmWorker(context.WithoutCancel(ctx), ws)
+		if !ws.up.Load() && ws.warming.CompareAndSwap(false, true) {
+			go func() {
+				defer ws.warming.Store(false)
+				rt.warmWorker(context.WithoutCancel(ctx), ws)
+				ws.up.Store(true)
+				rt.log.Info("worker recovered", "worker", ws.name)
+			}()
 		}
 		return
 	}
@@ -408,8 +424,9 @@ func (rt *Router) probeWorker(ctx context.Context, ws *workerState) {
 }
 
 // warmWorker ships a current snapshot of every database ws owns from a
-// healthy peer replica, bringing a new or recovered worker to parity
-// without recomputing any DP-tree it can import.
+// healthy peer replica, bringing a new or recovered worker to parity; the
+// worker prepares the snapshot's plans before it answers for the
+// database.
 func (rt *Router) warmWorker(ctx context.Context, ws *workerState) {
 	rt.mu.RLock()
 	var owned []*routedDB

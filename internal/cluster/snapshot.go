@@ -1,8 +1,11 @@
 // Package cluster implements the sharded, replicated deployment mode of
 // shapleyd: a consistent-hash ring assigning database ids to replicated
 // worker shards, a health-probing, failing-over HTTP router in front of
-// them, and the portable snapshot encoding workers use to warm
-// up new or recovered replicas without recomputing DP-trees.
+// them, and the portable snapshot encoding workers use to warm up new or
+// recovered replicas. A snapshot carries a database and the keys of its
+// cached plans; the receiving worker re-prepares those plans before it
+// publishes the database, because a plan is a pure function of the
+// database and its key.
 //
 // The package deliberately does not import internal/server: the router
 // speaks to workers over their public HTTP API and relays worker answer
@@ -16,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/db"
 )
 
@@ -26,90 +28,47 @@ var ErrBadSnapshot = errors.New("cluster: malformed snapshot")
 
 // snapshotMagic versions the wire format; bump the trailing byte on any
 // incompatible change so a mixed-version fleet fails fast instead of
-// mis-decoding.
-const snapshotMagic = "shsnap\x00\x01"
+// mis-decoding. Version 1 carried DP-tree payloads; version 2 carries
+// plan keys only.
+const snapshotMagic = "shsnap\x00\x02"
 
 // Snapshot is the portable warm-up state of one registered database: its
-// text, the version it serves, and the exported memo snapshots of its
-// prepared plans. The database text is carried once and stamped into
-// every plan on decode (all plans of one version are prepared over the
-// same database).
+// text, the version it serves, and the key of every cached plan that
+// answers for that version.
 type Snapshot struct {
 	ID      string
 	Version db.Version
 	DBText  string
-	Plans   []PlanEntry
+	Plans   []PlanKey
 }
 
-// PlanEntry is one prepared plan's snapshot, minus the database text the
-// envelope carries once.
-type PlanEntry struct {
+// PlanKey identifies one prepared plan of a database: the canonical query
+// text, the exogenous relation declarations and the brute-force flag.
+// Whether the query is a union is decided by parsing it.
+type PlanKey struct {
 	Query string
-	IsUCQ bool
 	Exo   []string
 	Brute bool
-	Root  *core.NodeSnapshot
 }
 
-// SnapshotOf assembles the envelope from per-plan snapshots, lifting the
-// shared database text out of each. Plans whose DBText disagrees with
-// dbText (an Export racing a PATCH) are skipped — a warm-up snapshot must
-// never mix versions.
-func SnapshotOf(id string, version db.Version, dbText string, plans []*core.PlanSnapshot) *Snapshot {
-	s := &Snapshot{ID: id, Version: version, DBText: dbText}
-	for _, ps := range plans {
-		if ps == nil || ps.DBText != dbText {
-			continue
-		}
-		s.Plans = append(s.Plans, PlanEntry{
-			Query: ps.Query,
-			IsUCQ: ps.IsUCQ,
-			Exo:   append([]string(nil), ps.Exo...),
-			Brute: ps.Brute,
-			Root:  ps.Root,
-		})
-	}
-	return s
-}
-
-// PlanSnapshots expands the envelope back to self-contained per-plan
-// snapshots, stamping the shared database text into each.
-func (s *Snapshot) PlanSnapshots() []*core.PlanSnapshot {
-	out := make([]*core.PlanSnapshot, len(s.Plans))
-	for i, pe := range s.Plans {
-		out[i] = &core.PlanSnapshot{
-			Query:  pe.Query,
-			IsUCQ:  pe.IsUCQ,
-			Exo:    append([]string(nil), pe.Exo...),
-			Brute:  pe.Brute,
-			DBText: s.DBText,
-			Root:   pe.Root,
-		}
-	}
-	return out
-}
-
-// EncodeSnapshot renders the envelope in the binary wire format: a magic
-// header, then varint-framed strings and byte blobs. Numeric vectors ride
-// as per-coefficient big-endian magnitudes (counts are non-negative, so
-// no sign byte), exactly the core.NodeSnapshot representation.
+// EncodeSnapshot renders the envelope in the binary wire format: the
+// magic header, then varint-framed strings and counts.
 func EncodeSnapshot(s *Snapshot) []byte {
 	b := []byte(snapshotMagic)
 	b = appendString(b, s.ID)
 	b = binary.AppendUvarint(b, uint64(s.Version))
 	b = appendString(b, s.DBText)
 	b = binary.AppendUvarint(b, uint64(len(s.Plans)))
-	for _, pe := range s.Plans {
-		b = appendString(b, pe.Query)
-		b = appendBool(b, pe.IsUCQ)
-		b = binary.AppendUvarint(b, uint64(len(pe.Exo)))
-		for _, r := range pe.Exo {
+	for _, pk := range s.Plans {
+		b = appendString(b, pk.Query)
+		b = binary.AppendUvarint(b, uint64(len(pk.Exo)))
+		for _, r := range pk.Exo {
 			b = appendString(b, r)
 		}
-		b = appendBool(b, pe.Brute)
-		b = appendBool(b, pe.Root != nil)
-		if pe.Root != nil {
-			b = appendNode(b, pe.Root)
+		if pk.Brute {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
 		}
 	}
 	return b
@@ -118,37 +77,6 @@ func EncodeSnapshot(s *Snapshot) []byte {
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendVec(b []byte, coeffs [][]byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(coeffs)))
-	for _, c := range coeffs {
-		b = binary.AppendUvarint(b, uint64(len(c)))
-		b = append(b, c...)
-	}
-	return b
-}
-
-func appendNode(b []byte, n *core.NodeSnapshot) []byte {
-	b = append(b, n.Kind)
-	b = binary.AppendUvarint(b, uint64(n.RelN))
-	b = binary.AppendUvarint(b, uint64(n.Free))
-	b = appendVec(b, n.Core)
-	b = appendVec(b, n.Sat)
-	b = appendVec(b, n.NonSat)
-	b = appendVec(b, n.Prod)
-	b = binary.AppendUvarint(b, uint64(len(n.Children)))
-	for _, c := range n.Children {
-		b = appendNode(b, c)
-	}
-	return b
 }
 
 // snapReader is the decode cursor. Every length it reads is validated
@@ -171,41 +99,30 @@ func (r *snapReader) uvarint() (uint64, error) {
 }
 
 // count reads a varint element count for elements of at least minBytes
-// encoded bytes each, rejecting counts the remaining input cannot hold.
-func (r *snapReader) count(minBytes int) (int, error) {
+// encoded bytes each, rejecting counts that the remaining input, less
+// the reserved bytes that later fields need, cannot hold.
+func (r *snapReader) count(minBytes, reserved int) (int, error) {
 	v, err := r.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if v > uint64(r.remaining()/minBytes) {
+	if avail := r.remaining() - reserved; avail < 0 || v > uint64(avail/minBytes) {
 		return 0, fmt.Errorf("%w: count %d exceeds remaining input at offset %d", ErrBadSnapshot, v, r.off)
 	}
 	return int(v), nil
 }
 
-func (r *snapReader) blob() ([]byte, error) {
+func (r *snapReader) str() (string, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	if n > uint64(r.remaining()) {
-		return nil, fmt.Errorf("%w: blob length %d exceeds remaining input at offset %d", ErrBadSnapshot, n, r.off)
+		return "", fmt.Errorf("%w: string length %d exceeds remaining input at offset %d", ErrBadSnapshot, n, r.off)
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+int(n)])
+	s := string(r.b[r.off : r.off+int(n)])
 	r.off += int(n)
-	return out, nil
-}
-
-func (r *snapReader) str() (string, error) {
-	b, err := r.blob()
-	return string(b), err
+	return s, nil
 }
 
 func (r *snapReader) boolean() (bool, error) {
@@ -213,74 +130,18 @@ func (r *snapReader) boolean() (bool, error) {
 		return false, fmt.Errorf("%w: truncated at offset %d", ErrBadSnapshot, r.off)
 	}
 	v := r.b[r.off]
-	r.off++
 	if v > 1 {
-		return false, fmt.Errorf("%w: invalid bool byte %d at offset %d", ErrBadSnapshot, v, r.off-1)
+		return false, fmt.Errorf("%w: invalid bool byte %d at offset %d", ErrBadSnapshot, v, r.off)
 	}
+	r.off++
 	return v == 1, nil
 }
 
-func (r *snapReader) vec() ([][]byte, error) {
-	n, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([][]byte, n)
-	for i := range out {
-		if out[i], err = r.blob(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (r *snapReader) node() (*core.NodeSnapshot, error) {
-	if r.remaining() < 1 {
-		return nil, fmt.Errorf("%w: truncated node at offset %d", ErrBadSnapshot, r.off)
-	}
-	n := &core.NodeSnapshot{Kind: r.b[r.off]}
-	r.off++
-	relN, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	free, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	n.RelN, n.Free = int(relN), int(free)
-	if n.Core, err = r.vec(); err != nil {
-		return nil, err
-	}
-	if n.Sat, err = r.vec(); err != nil {
-		return nil, err
-	}
-	if n.NonSat, err = r.vec(); err != nil {
-		return nil, err
-	}
-	if n.Prod, err = r.vec(); err != nil {
-		return nil, err
-	}
-	kids, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < kids; i++ {
-		c, err := r.node()
-		if err != nil {
-			return nil, err
-		}
-		n.Children = append(n.Children, c)
-	}
-	return n, nil
-}
-
 // DecodeSnapshot parses the wire format produced by EncodeSnapshot.
-// Structural well-formedness is all it checks; semantic validation (does
-// the tree match the replayed build?) happens in core's ImportPlan.
+// Structural well-formedness is all it checks; the importing worker
+// rejects a database text or plan key it cannot parse. It reads the input
+// in one forward pass without recursion, and its allocations are bounded
+// by a small multiple of len(data).
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < len(snapshotMagic) || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic header", ErrBadSnapshot)
@@ -299,42 +160,38 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if s.DBText, err = r.str(); err != nil {
 		return nil, err
 	}
-	nPlans, err := r.count(1)
+	// A plan key encodes to at least planKeyMin bytes: the query length,
+	// the exo count and the brute flag. Counts are checked against the
+	// bytes that the plans still to come need, so the slices allocated
+	// here never outgrow the input that backs them.
+	const planKeyMin = 3
+	nPlans, err := r.count(planKeyMin, 0)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < nPlans; i++ {
-		var pe PlanEntry
-		if pe.Query, err = r.str(); err != nil {
+	if nPlans > 0 {
+		s.Plans = make([]PlanKey, nPlans)
+	}
+	for i := range s.Plans {
+		pk := &s.Plans[i]
+		if pk.Query, err = r.str(); err != nil {
 			return nil, err
 		}
-		if pe.IsUCQ, err = r.boolean(); err != nil {
-			return nil, err
-		}
-		nExo, err := r.count(1)
+		nExo, err := r.count(1, 1+planKeyMin*(nPlans-i-1))
 		if err != nil {
 			return nil, err
 		}
-		for j := 0; j < nExo; j++ {
-			rel, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			pe.Exo = append(pe.Exo, rel)
+		if nExo > 0 {
+			pk.Exo = make([]string, nExo)
 		}
-		if pe.Brute, err = r.boolean(); err != nil {
-			return nil, err
-		}
-		hasRoot, err := r.boolean()
-		if err != nil {
-			return nil, err
-		}
-		if hasRoot {
-			if pe.Root, err = r.node(); err != nil {
+		for j := range pk.Exo {
+			if pk.Exo[j], err = r.str(); err != nil {
 				return nil, err
 			}
 		}
-		s.Plans = append(s.Plans, pe)
+		if pk.Brute, err = r.boolean(); err != nil {
+			return nil, err
+		}
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, r.remaining())

@@ -296,39 +296,3 @@ func TestExoShapIndexedScalesTo50k(t *testing.T) {
 		t.Fatalf("efficiency axiom violated at 50k: Σ Shapley = %s, v(D)−v(Dx) = %s", sum.RatString(), want.RatString())
 	}
 }
-
-// TestExoShapIndexedSnapshotRoundTrip exports an indexed-transform plan and
-// re-imports it, pinning the round trip on a lazily padded tree.
-func TestExoShapIndexedSnapshotRoundTrip(t *testing.T) {
-	q2 := query.MustParse("q2() :- Stud(x), !TA(x), Reg(x, y), !Course(y, CS)")
-	d := runningExample()
-	eng := NewEngine(WithExoRelations("Stud", "Course"))
-	plan, err := eng.Prepare(context.Background(), d, q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := plan.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan2, err := eng.ImportPlan(context.Background(), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plan.ShapleyAll(context.Background(), BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := plan2.ShapleyAll(context.Background(), BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("round trip changed value count: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Fact.Key() != want[i].Fact.Key() || got[i].Value.Cmp(want[i].Value) != 0 {
-			t.Fatalf("round trip changed %s: %s vs %s", want[i].Fact, got[i].Value.RatString(), want[i].Value.RatString())
-		}
-	}
-}

@@ -428,3 +428,111 @@ func TestPlanConcurrentApplyAndRead(t *testing.T) {
 		}
 	}
 }
+
+// planFixture is one (engine policy, database, query) triple covering a
+// distinct preparation path of the dichotomy dispatch.
+type planFixture struct {
+	name   string
+	dbText string
+	cq     string
+	ucq    string
+	opts   []EngineOption
+	method Method
+}
+
+func planFixtures() []planFixture {
+	return []planFixture{
+		{
+			name: "hierarchical",
+			dbText: "exo Stud(Ann)\nexo Stud(Bob)\nendo TA(Ann)\n" +
+				"endo Reg(Ann, OS)\nendo Reg(Ann, AI)\nendo Reg(Bob, OS)\nendo Free(x1)\n",
+			cq:     "q() :- Stud(x), !TA(x), Reg(x, y)",
+			method: MethodHierarchical,
+		},
+		{
+			name: "exoshap",
+			dbText: "endo Author(a1, j1)\nendo Author(a2, j1)\nendo Author(a2, j2)\n" +
+				"exo Pub(a1, p1)\nexo Pub(a2, p2)\nexo Citations(p1, c1)\nexo Citations(p2, c1)\nexo Citations(p2, c2)\n",
+			cq:     "q() :- Author(x, y), Pub(x, z), Citations(z, w)",
+			opts:   []EngineOption{WithExoRelations("Pub", "Citations")},
+			method: MethodExoShap,
+		},
+		{
+			name: "ucq",
+			dbText: "endo R(a)\nendo R(b)\nendo S(a, b)\nexo S(b, b)\n" +
+				"endo T(a, c)\nendo T(c, c)\nendo Free(x1)\n",
+			ucq:    "q1() :- R(x), S(x, y) | q2() :- T(x, y)",
+			method: MethodHierarchical,
+		},
+		{
+			name:   "brute",
+			dbText: "endo R(a)\nendo R(b)\nendo S(a, b)\nendo S(b, a)\n",
+			cq:     "q() :- R(x), S(x, y), R(y)",
+			opts:   []EngineOption{WithBruteForce(true)},
+			method: MethodBruteForce,
+		},
+	}
+}
+
+// prepareFixture builds the fixture's plan on a fresh engine.
+func prepareFixture(t *testing.T, fx planFixture) *Plan {
+	t.Helper()
+	eng := NewEngine(fx.opts...)
+	d := db.MustParse(fx.dbText)
+	var (
+		p   *Plan
+		err error
+	)
+	if fx.cq != "" {
+		p, err = eng.Prepare(context.Background(), d, query.MustParse(fx.cq))
+	} else {
+		p, err = eng.PrepareUCQ(context.Background(), d, query.MustParseUCQ(fx.ucq))
+	}
+	if err != nil {
+		t.Fatalf("prepare %s: %v", fx.name, err)
+	}
+	if got := p.Method(); got != fx.method {
+		t.Fatalf("%s: method %s, want %s", fx.name, got, fx.method)
+	}
+	return p
+}
+
+// TestPlanViewShapleySubset pins the batched single-fact path the
+// server's "facts" requests ride on: a subset request returns the same
+// values as the corresponding single-fact calls, in request order.
+func TestPlanViewShapleySubset(t *testing.T) {
+	for _, fx := range planFixtures() {
+		t.Run(fx.name, func(t *testing.T) {
+			view := prepareFixture(t, fx).View()
+			facts := view.Facts()
+			// Reverse order: the subset answers in request order, not
+			// snapshot order.
+			rev := make([]db.Fact, len(facts))
+			for i, f := range facts {
+				rev[len(facts)-1-i] = f
+			}
+			got, err := view.ShapleySubset(context.Background(), rev, BatchOptions{Workers: 2})
+			if err != nil {
+				t.Fatalf("subset: %v", err)
+			}
+			if len(got) != len(rev) {
+				t.Fatalf("subset returned %d values, want %d", len(got), len(rev))
+			}
+			for i, f := range rev {
+				want, err := view.Shapley(context.Background(), f)
+				if err != nil {
+					t.Fatalf("single %s: %v", f, err)
+				}
+				if got[i].Fact.Key() != f.Key() || got[i].Value.Cmp(want.Value) != 0 || got[i].Method != want.Method {
+					t.Fatalf("subset[%d] = %s %s, want %s %s",
+						i, got[i].Fact, got[i].Value.RatString(), want.Fact, want.Value.RatString())
+				}
+			}
+
+			// A non-endogenous fact fails the whole batch, like Shapley.
+			if _, err := view.ShapleySubset(context.Background(), []db.Fact{db.F("Nope", "z")}, BatchOptions{}); err == nil {
+				t.Fatal("subset with non-endogenous fact: no error")
+			}
+		})
+	}
+}

@@ -35,7 +35,7 @@
 //	POST   /v1/databases/{id}/classify    dichotomy classification (Thms 3.1/4.3)
 //	POST   /v1/databases/{id}/relevance   relevance decision (Def. 5.2)
 //	POST   /v1/databases/{id}/approx      Monte-Carlo (ε, δ) estimate (§5.1)
-//	GET    /v1/databases/{id}/snapshot    export database + plan memos (cluster warm-up)
+//	GET    /v1/databases/{id}/snapshot    export database + cached plan keys (cluster warm-up)
 //	PUT    /v1/databases/{id}/snapshot    import a snapshot (replaces the registration)
 //	GET    /healthz                       liveness
 //	GET    /readyz                        readiness (503 while draining)
@@ -60,6 +60,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/obs"
@@ -100,8 +101,9 @@ type Options struct {
 const DefaultCacheSize = 128
 
 // DefaultMaxBodyBytes is the request-body bound when Options.MaxBodyBytes
-// is 0 (databases register as text, so bodies can be sizable).
-const DefaultMaxBodyBytes = 32 << 20
+// is 0 (databases register as text, so bodies can be sizable). The
+// cluster router holds every request to the same bound.
+const DefaultMaxBodyBytes = cluster.MaxBodyBytes
 
 // DefaultSlowRequestThreshold is the slow-request mark when
 // Options.SlowRequestThreshold is 0.
@@ -175,6 +177,7 @@ type dbSnapshot struct {
 type cachedPlan struct {
 	plan *core.Plan
 	base db.Version
+	spec cluster.PlanKey // what the plan was prepared for; snapshots ship it
 }
 
 // servedVersion reports the database version the entry currently answers
@@ -463,7 +466,11 @@ func (s *Server) planFor(ctx context.Context, snap dbSnapshot, pq parsedQuery, e
 		}
 		s.met.plansPrepared.Add(1)
 		s.met.countTreeBuild(plan.TreeStats())
-		cp := &cachedPlan{plan: plan, base: snap.version - 1}
+		cp := &cachedPlan{
+			plan: plan,
+			base: snap.version - 1,
+			spec: cluster.PlanKey{Query: pq.canonical, Exo: exo, Brute: brute},
+		}
 		s.plans.Put(key, cp)
 		return cp, nil
 	})

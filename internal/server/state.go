@@ -9,17 +9,16 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/db"
 )
 
 // This file is the cluster warm-up surface: exporting a registered
-// database (text, version, and the memo snapshots of its cached plans)
-// as one portable blob, and importing such a blob to stand up a replica
-// whose plans are warm on arrival — no DP-tree is ever recomputed from
-// scratch for state another replica already holds. The wire format lives
-// in internal/cluster; the semantic validation (does each snapshot match
-// the replayed tree build?) lives in core's ImportPlan.
+// database (text, version, and the keys of its cached plans) as one
+// portable blob, and importing such a blob to stand up a replica whose
+// plans are warm on arrival. The importer re-prepares every listed plan
+// through planFor before it publishes the database, so no request can
+// see the imported database without its plans. The wire format lives in
+// internal/cluster.
 
 // validateDatabaseID enforces the registration id rules. "." and ".."
 // survive registration but are unreachable afterwards: ServeMux
@@ -35,44 +34,35 @@ func validateDatabaseID(id string) error {
 }
 
 // ExportState captures database id as a warm-up snapshot: its current
-// text and version, plus the exported plan snapshots of every cached plan
-// answering for exactly that version (entries mid-PATCH or stale are
-// skipped — a snapshot must never mix versions). The ok result is false
-// when no such database is registered.
+// text and version, plus the key of every cached plan answering for
+// exactly that version (entries mid-PATCH or stale are skipped — a
+// snapshot must never mix versions). The ok result is false when no such
+// database is registered.
 func (s *Server) ExportState(id string) (*cluster.Snapshot, bool) {
 	snap, ok := s.snapshot(id)
 	if !ok {
 		return nil, false
 	}
-	dbText := snap.d.String()
-	var plans []*core.PlanSnapshot
+	out := &cluster.Snapshot{ID: id, Version: snap.version, DBText: snap.d.String()}
 	prefix := fmt.Sprintf("%s\x00g%d\x00", id, snap.gen)
 	for _, key := range s.plans.Keys() {
 		if !strings.HasPrefix(key, prefix) {
 			continue
 		}
-		cp, ok := s.plans.Peek(key)
-		if !ok || cp.servedVersion(nil) != snap.version {
-			continue
+		if cp, ok := s.plans.Peek(key); ok && cp.servedVersion(nil) == snap.version {
+			out.Plans = append(out.Plans, cp.spec)
 		}
-		ps, err := cp.plan.Export()
-		if err != nil {
-			// A plan that cannot be exported (e.g. an opaque tree) is an
-			// optimization the importer will simply rebuild cold.
-			continue
-		}
-		plans = append(plans, ps)
 	}
-	// SnapshotOf drops any plan whose text raced past snap.version.
-	return cluster.SnapshotOf(id, snap.version, dbText, plans), true
+	return out, true
 }
 
 // ImportState installs a warm-up snapshot, replacing any existing
-// registration of the same id (under a fresh generation, so plans and
-// in-flight preparations of the displaced registration can never serve
-// the new one). Each plan snapshot is imported through the structural
-// replay of core's ImportPlan and seeded into the plan cache at the
-// snapshot's version; a plan that fails to import is dropped and counted,
+// registration of the same id. It parses the database text, reserves a
+// fresh generation (so plans and in-flight preparations of the displaced
+// registration can never serve the new one), prepares every listed plan
+// under that generation through planFor, and only then publishes the
+// registration: a request that finds the imported database finds its
+// plans cached. A plan that fails to prepare is dropped and counted,
 // never fatal — the database itself is what must install.
 func (s *Server) ImportState(ctx context.Context, snap *cluster.Snapshot) (imported, dropped int, err error) {
 	if snap.ID == "" {
@@ -99,59 +89,41 @@ func (s *Server) ImportState(ctx context.Context, snap *cluster.Snapshot) (impor
 		version:     snap.Version,
 		created:     time.Now(),
 	}
+	dsnap := rdb.snap()
+	s.mu.Unlock()
+
+	// Preparation is detached from the caller's cancellation, like any
+	// plan preparation: a disconnecting uploader must not leave half the
+	// plans cold.
+	ictx := context.WithoutCancel(ctx)
+	for _, pk := range snap.Plans {
+		pq, perr := parseRequestQuery(pk.Query)
+		if perr == nil {
+			_, _, perr = s.planFor(ictx, dsnap, pq, pk.Exo, pk.Brute)
+		}
+		if perr != nil {
+			dropped++
+			continue
+		}
+		imported++
+	}
+
+	s.mu.Lock()
 	s.dbs[snap.ID] = rdb
-	gen := rdb.gen
 	s.mu.Unlock()
 	// The displaced registration's cache entries are unreachable (their
-	// keys carry the old generation); drop them rather than waiting for
+	// keys carry another generation); drop them rather than waiting for
 	// LRU pressure.
 	oldPrefix := snap.ID + "\x00"
-	newPrefix := fmt.Sprintf("%s\x00g%d\x00", snap.ID, gen)
+	newPrefix := fmt.Sprintf("%s\x00g%d\x00", snap.ID, dsnap.gen)
 	s.plans.RemoveIf(func(key string) bool {
 		return strings.HasPrefix(key, oldPrefix) && !strings.HasPrefix(key, newPrefix)
 	})
-
-	// Warm the plan cache. The import is detached from the caller's
-	// cancellation like any plan preparation: once the registration is
-	// installed, a disconnecting uploader must not leave half the plans
-	// cold.
-	ictx := context.WithoutCancel(ctx)
-	for _, ps := range snap.PlanSnapshots() {
-		pq, perr := parseRequestQuery(ps.Query)
-		if perr != nil {
-			dropped++
-			continue
-		}
-		if _, perr := exoSet(ps.Exo); perr != nil {
-			// planKey's comma-joined exo component relies on exoSet's
-			// name validation for collision freedom.
-			dropped++
-			continue
-		}
-		eng := core.NewEngine(
-			core.WithExoRelations(ps.Exo...),
-			core.WithBruteForce(ps.Brute),
-			core.WithWorkers(s.opts.Workers),
-			core.WithPrepareParallelism(s.opts.PrepareParallelism),
-			core.WithSpawnCost(s.opts.PrepareSpawnCost),
-		)
-		t0 := time.Now()
-		plan, perr := eng.ImportPlan(ictx, ps)
-		s.met.phasePrepare.Observe(time.Since(t0))
-		if perr != nil {
-			dropped++
-			continue
-		}
-		s.met.countTreeBuild(plan.TreeStats())
-		key := planKey(snap.ID, gen, pq.canonical, ps.Exo, ps.Brute)
-		s.plans.Put(key, &cachedPlan{plan: plan, base: snap.Version - 1})
-		imported++
-	}
 	return imported, dropped, nil
 }
 
 // handleExportSnapshot serves GET /v1/databases/{id}/snapshot: the
-// database and its warm plans in the cluster wire format.
+// database and its warm plan keys in the cluster wire format.
 func (s *Server) handleExportSnapshot(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	snap, ok := s.ExportState(id)
